@@ -29,7 +29,7 @@ RECOVERY_SMOKE_ARTIFACTS ?= recovery-smoke-artifacts
 # status snapshots and decision logs (the contention-smoke artifact).
 CONTENTION_SMOKE_ARTIFACTS ?= contention-smoke-artifacts
 
-.PHONY: all build test test-short race race-all bench bench-stm \
+.PHONY: all build test test-short race race-all bench bench-stm bench-server \
 	bench-compare bench-allocs bench-contended bench-smoke trace-smoke \
 	fuzz-smoke chaos server-smoke recovery-smoke contention-smoke lint ci repro figures clean
 
@@ -49,7 +49,10 @@ test-short:
 
 # Race-detector pass over the concurrency core (the STM with its tracer
 # and actuator, plus the observability layer scraped concurrently),
-# including the snapshot-registry stress and tracer enable/disable tests.
+# including the snapshot-registry stress and tracer enable/disable tests,
+# and the serving layer with its pooled-request recycling stress
+# (TestRequestRecyclingStress: deadline timers, late workers and a
+# mid-flight Shutdown racing over recycled requests).
 # GOMAXPROCS=4 even on single-core runners: the flat-combining commit
 # (combiner election, queue hand-off, spin-then-park wake-up) only
 # interleaves interestingly with several Ps.
@@ -66,6 +69,16 @@ bench:
 # STM hot-path microbenchmarks (compare against BENCH_stm.json).
 bench-stm:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/stm/
+
+# Request-path stage microbenchmarks (parse, ring route, exec, reply
+# encode), diffed against the newest row set of the BENCH_server.json
+# ledger. allocs/op is gated exactly; ns/op only fails past 5x the ledger
+# row, since this class of host moves 2x between runs (bench-allocs runs the
+# same comparison with the timing gate neutralized).
+SERVER_BENCH = '^(BenchmarkParseRequest|BenchmarkRingLookup|BenchmarkExecGet|BenchmarkReplyEncode)$$'
+bench-server:
+	$(GO) test -benchmem -run '^$$' -benchtime=$(ALLOC_BENCHTIME) -bench $(SERVER_BENCH) ./internal/server/ | \
+		$(GO) run ./cmd/bench-compare -baseline BENCH_server.json -threshold 400 -strict-allocs
 
 # Run the hot-path benchmarks and diff them against BENCH_stm.json's
 # "after" numbers, failing on >15% ns/op regressions (the tracing-off
@@ -85,11 +98,17 @@ bench-compare:
 # that keeps the pooled zero-alloc write path honest: timing regressions
 # are judged by bench-compare, allocation regressions by this target —
 # exactly, since allocs/op at a fixed iteration count is deterministic.
+# The serving layer's request path is held to the same standard: its stage
+# benchmarks against BENCH_server.json, then the AllocsPerRun gates and the
+# whole-path malloc count over a loopback connection.
 bench-allocs:
 	$(GO) test -benchmem -run '^$$' -benchtime=$(ALLOC_BENCHTIME) \
 		-bench '^(BenchmarkBeginCommitReadOnly|BenchmarkSmallWriteTx|BenchmarkSmallWriteTxSched|BenchmarkNestedFanout)$$' \
 		./internal/stm/ | \
 		$(GO) run ./cmd/bench-compare -baseline BENCH_stm.json -threshold 10000 -strict-allocs
+	$(GO) test -benchmem -run '^$$' -benchtime=$(ALLOC_BENCHTIME) -bench $(SERVER_BENCH) ./internal/server/ | \
+		$(GO) run ./cmd/bench-compare -baseline BENCH_server.json -threshold 10000 -strict-allocs
+	$(GO) test -count=1 -v -run '^(TestParseRequestAllocs|TestRingLookupAllocs|TestReplyEncode|TestRequestPathAllocs)$$' ./internal/server/
 
 # Contended commit-path benchmarks at -cpu 1,4 (the flat-combining group
 # commit's target workload), diffed against the exact -cpu entries in
@@ -118,9 +137,11 @@ bench-smoke:
 	$(GO) test -bench '^BenchmarkContendedCommit$$' -benchmem -cpu 1,4 \
 		-benchtime=$(BENCHTIME) -run '^$$' ./internal/stm/ | tee bench-contended.txt
 
-# Trace-loader fuzz smoke (the corpus-backed FuzzLoad target).
+# Fuzz smoke: the trace loader (the corpus-backed FuzzLoad target) and the
+# server's request-line parser.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/server
 
 # Fault-injection soak under the race detector: the injector's own unit
 # tests, the STM chaos suite (forced aborts, stalls and the seeded soak on

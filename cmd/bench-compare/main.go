@@ -1,5 +1,6 @@
 // Command bench-compare diffs a fresh `go test -bench` run against the
-// committed baseline (BENCH_stm.json "after" numbers) and fails when a
+// committed baseline (BENCH_stm.json "after" numbers, or the newest row set
+// of a per-PR ledger such as BENCH_server.json) and fails when a
 // benchmark regressed beyond a threshold — the guardrail that keeps the
 // tracing gate (and future hot-path changes) honest about overhead.
 //
@@ -40,15 +41,39 @@ import (
 	"strings"
 )
 
-// baselineFile mirrors the BENCH_stm.json layout.
+// benchRow is one benchmark's committed numbers.
+type benchRow struct {
+	NsOp     float64 `json:"ns_op"`
+	BOp      float64 `json:"b_op"`
+	AllocsOp float64 `json:"allocs_op"`
+}
+
+// baselineFile mirrors the two committed layouts: BENCH_stm.json's
+// before/after pair per benchmark, and the per-PR ledger (BENCH_server.json)
+// whose history array holds one row set per PR, oldest first.
 type baselineFile struct {
-	Benchmarks map[string]struct {
-		After struct {
-			NsOp     float64 `json:"ns_op"`
-			BOp      float64 `json:"b_op"`
-			AllocsOp float64 `json:"allocs_op"`
-		} `json:"after"`
-	} `json:"benchmarks"`
+	Benchmarks map[string]baselineEntry `json:"benchmarks"`
+	History    []struct {
+		Benchmarks map[string]benchRow `json:"benchmarks"`
+	} `json:"history"`
+}
+
+type baselineEntry struct {
+	After benchRow `json:"after"`
+}
+
+// adoptHistory makes a ledger's newest row set the baseline to compare
+// against.
+func (b *baselineFile) adoptHistory() {
+	if len(b.History) == 0 {
+		return
+	}
+	if b.Benchmarks == nil {
+		b.Benchmarks = map[string]baselineEntry{}
+	}
+	for name, row := range b.History[len(b.History)-1].Benchmarks {
+		b.Benchmarks[name] = baselineEntry{After: row}
+	}
 }
 
 // result is one parsed benchmark output line.
@@ -198,6 +223,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", *baseline, err)
 		os.Exit(2)
 	}
+	base.adoptHistory()
 
 	in := io.Reader(os.Stdin)
 	if *input != "-" {

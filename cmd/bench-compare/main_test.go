@@ -231,3 +231,36 @@ func TestCompareCountRepeatsStillFold(t *testing.T) {
 		t.Errorf("-count repeats miscounted as distinct -cpu variants:\n%s", out.String())
 	}
 }
+
+// TestCompareLedgerHistory: a per-PR ledger (BENCH_server.json) is compared
+// against its newest row set, and an allocs/op increase over it is a
+// violation under -strict-allocs.
+func TestCompareLedgerHistory(t *testing.T) {
+	const ledger = `{
+	  "history": [
+	    {"pr": 12, "benchmarks": {"BenchmarkExecGet": {"ns_op": 800, "b_op": 257, "allocs_op": 4}}},
+	    {"pr": 13, "benchmarks": {"BenchmarkExecGet": {"ns_op": 110, "b_op": 0, "allocs_op": 0}}}
+	  ]
+	}`
+	var base baselineFile
+	if err := json.Unmarshal([]byte(ledger), &base); err != nil {
+		t.Fatal(err)
+	}
+	base.adoptHistory()
+	for _, c := range []struct {
+		run  string
+		want int
+	}{
+		{"BenchmarkExecGet-2 20000 120.0 ns/op 0 B/op 0 allocs/op\n", 0},
+		{"BenchmarkExecGet-2 20000 120.0 ns/op 16 B/op 1 allocs/op\n", 1},
+	} {
+		results, err := parseBench(strings.NewReader(c.run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if v := compare(&out, results, base, 10000, true); v != c.want {
+			t.Errorf("violations = %d, want %d\n%s", v, c.want, out.String())
+		}
+	}
+}

@@ -3,9 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,15 +36,12 @@ const tunerCheckpointName = "tuner.json"
 // compact WAL key index. Only store-resident keys reach the WAL path, so
 // a parse failure means the key space and the log format drifted — the
 // caller skips such keys rather than logging garbage.
-func keyIndex(key string) (uint32, bool) {
+func keyIndex[T string | []byte](key T) (uint32, bool) {
 	if len(key) < 2 || key[0] != 'k' {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(key[1:], 10, 32)
-	if err != nil {
-		return 0, false
-	}
-	return uint32(n), true
+	n, ok := parseUint(key[1:])
+	return uint32(n), ok && n <= math.MaxUint32
 }
 
 // walConfig is the per-shard durability configuration derived from
@@ -63,10 +60,13 @@ type walConfig struct {
 // interval/none policies: their contract is a bounded durability window,
 // so the ack does not wait for the append. The single-key common case
 // travels inline in one (copied through the channel, no allocation);
-// multi is non-nil only for MADD batches.
+// multi is non-nil only for multi-key MADD batches: it aliases owner's
+// entry scratch, so send takes a reference on owner that the writer drops
+// once it has copied the entries out.
 type walSubmit struct {
 	one   wal.Entry
 	multi []wal.Entry
+	owner *request
 	done  chan error
 }
 
@@ -334,6 +334,7 @@ func (w *shardWAL) run() {
 func appendSubmit(batch []wal.Entry, waiters []chan error, sub walSubmit) ([]wal.Entry, []chan error) {
 	if sub.multi != nil {
 		batch = append(batch, sub.multi...)
+		sub.owner.release()
 	} else {
 		batch = append(batch, sub.one)
 	}
@@ -355,6 +356,9 @@ func (w *shardWAL) send(sub walSubmit) error {
 	if w.closed {
 		w.subMu.RUnlock()
 		return wal.ErrClosed
+	}
+	if sub.owner != nil {
+		sub.owner.refs.Add(1) // the writer's, dropped in appendSubmit
 	}
 	if w.cfg.policy != wal.SyncBatch {
 		w.submit <- sub
@@ -482,37 +486,31 @@ func (w *shardWAL) status() *WALStatus {
 	}
 }
 
-// logUpdate makes one committed single-key update durable before the ack
-// is sent; logMulti is its MADD counterpart. Both are no-ops with
-// durability off, and both translate a log failure into the typed errWAL
-// the execute loop maps onto the breaker.
-func (sh *shard) logUpdate(op uint8, key string, val, ver uint64) error {
-	if sh.wal == nil {
-		return nil
-	}
-	idx, ok := keyIndex(key)
-	if !ok {
-		return nil
-	}
-	return sh.walAck(sh.wal.send(walSubmit{one: wal.Entry{Op: op, Key: idx, Val: val, Ver: ver}}))
-}
+// walOps maps an update's opKind to its WAL record op.
+var walOps = [...]uint8{opPut: wal.OpPut, opAdd: wal.OpAdd, opMAdd: wal.OpMAdd}
 
-func (sh *shard) logMulti(keys []string, vals []uint64, ver uint64) error {
+// logUpdate makes one committed update durable before the ack is sent:
+// one entry per key, holding the post-state the transaction left in
+// req.vals, built in the request's own scratch. It is a no-op with
+// durability off, and translates a log failure into the typed errWAL the
+// execute loop maps onto the breaker.
+func (sh *shard) logUpdate(req *request, ver uint64) error {
 	if sh.wal == nil {
 		return nil
 	}
-	entries := make([]wal.Entry, 0, len(keys))
-	for i, k := range keys {
-		idx, ok := keyIndex(k)
-		if !ok {
-			continue
+	req.entries = req.entries[:0]
+	for i, k := range req.keys {
+		if idx, ok := keyIndex(k); ok {
+			req.entries = append(req.entries, wal.Entry{Op: walOps[req.kind], Key: idx, Val: req.vals[i], Ver: ver})
 		}
-		entries = append(entries, wal.Entry{Op: wal.OpMAdd, Key: idx, Val: vals[i], Ver: ver})
 	}
-	if len(entries) == 0 {
+	switch len(req.entries) {
+	case 0:
 		return nil
+	case 1:
+		return sh.walAck(sh.wal.send(walSubmit{one: req.entries[0]}))
 	}
-	return sh.walAck(sh.wal.send(walSubmit{multi: entries}))
+	return sh.walAck(sh.wal.send(walSubmit{multi: req.entries, owner: req}))
 }
 
 func (sh *shard) walAck(err error) error {

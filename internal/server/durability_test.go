@@ -13,8 +13,10 @@ import (
 
 // crashStop abandons the server with no graceful path: listeners closed,
 // nothing flushed, no final snapshot, no CLEAN marker — the in-process
-// stand-in for SIGKILL. WAL writer goroutines are left running (they hold
-// no state the next Open depends on); only already-fsynced bytes count.
+// stand-in for SIGKILL. The WAL writer and snapshotter goroutines die with
+// the "process" (a snapshotter left running would keep writing into the
+// test's temp dir while it is being removed); the log is not closed, so
+// only already-fsynced bytes count.
 func (s *Server) crashStop() {
 	s.accepting.Store(false)
 	if s.ln != nil {
@@ -27,6 +29,9 @@ func (s *Server) crashStop() {
 	s.connMu.Unlock()
 	for _, sh := range s.shards {
 		close(sh.stop)
+		if sh.wal != nil {
+			sh.wal.close()
+		}
 	}
 	s.cancel()
 	// Mark shutdown as done so the test cleanup's graceful Shutdown is a

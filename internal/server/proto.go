@@ -1,10 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"math"
 	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
+
+	"autopn/internal/stm"
+	"autopn/internal/wal"
 )
 
 // The wire protocol is newline-delimited text, one request per line, one
@@ -74,128 +82,321 @@ var opNames = [...]string{"PING", "GET", "PUT", "ADD", "MADD"}
 func (k opKind) String() string { return opNames[k] }
 
 // request is one parsed, routed protocol request flowing through a shard's
-// admission queue. reply has capacity 1 and receives exactly one response
-// line; replied arbitrates between the worker, the deadline timer and the
-// shedding paths so that exactly one of them answers.
+// admission queue. Requests are pooled (reqPool) and cross parse -> route ->
+// admit -> exec -> reply without allocating; docs/SERVER.md ("Request
+// lifecycle & memory discipline") states the ownership rules. reply has
+// capacity 1 and receives exactly one response per life; state arbitrates
+// between the worker, the deadline timer and the shedding paths so that
+// exactly one of them answers.
 type request struct {
-	kind  opKind
-	key   string   // primary key (GET/PUT/ADD; first key of MADD)
-	arg   uint64   // PUT value / ADD delta
-	keys  []string // MADD keys
-	args  []uint64 // MADD deltas
-	enq   time.Time
-	timer atomic.Pointer[time.Timer] // deadline watchdog; armed on admission
-	reply chan string
+	kind opKind
+	keys [][]byte // the line's keys (several only for MADD); alias buf
+	args []uint64 // PUT value, ADD / MADD deltas, parallel to keys
+	buf  []byte   // request-owned copy of the key bytes
 
-	// tr is the request's trace record; nil for the unsampled majority.
+	// Exec-side state: the keys' boxes, the post-state each write left (and
+	// a GET's result) and the WAL entries built from it. run is the
+	// transaction body, bound once per pooled object as runFn; slotFns are
+	// MADD's children, one closure per key slot, made once.
+	sh      *shard
+	boxes   []*stm.VBox[uint64]
+	vals    []uint64
+	entries []wal.Entry
+	slotFns []func(*stm.Tx) error
+	runFn   func(*stm.Tx) error
+
+	enq      int64       // admission time on the monoNow clock
+	deadline deadlineCtx // enq + timeout; 0 until admitted
+	timer    *time.Timer // deadline watchdog, created once, Reset per admission
+	reply    chan reply
+
+	// state is generation<<1 | replied. Owners (who hold a reference) only
+	// ever see the current generation; the deadline timer holds none, so a
+	// fire left over from an earlier life must fail its CAS (see onExpiry).
+	state atomic.Uint64
+	// refs counts the owners: the connection side (reader, then writer)
+	// from get, the exec side (queue slot, then worker) from admission, and
+	// the WAL writer while it copies entries. The last release recycles.
+	refs atomic.Int32
+	pool *reqPool
+
+	// tr is the request's trace record; nil for the unsampled majority. It
+	// shares the request's lifetime and returns to its pool with it.
 	tr *reqTrace
 	// clientTraceID/clientSend carry a parsed trace hint until the
 	// sampling decision is made (reader goroutine only).
 	clientTraceID uint64
 	clientSend    time.Time
-
-	replied atomic.Bool
 }
 
-// finish delivers resp as the request's single reply. It returns false
+const stateReplied = 1
+
+// clockBase anchors monoNow, the monotonic nanosecond clock request
+// deadlines are kept on.
+var clockBase = time.Now()
+
+func monoNow() int64 { return int64(time.Since(clockBase)) }
+
+// deadlineCtx is the context update transactions run under: it expires
+// when monoNow passes at, and does nothing else. Done returns nil — the STM
+// and the scheduler only poll Err at retry boundaries, and the reply-side
+// deadline is the request's timer, so nothing ever waits on it.
+type deadlineCtx struct{ at atomic.Int64 }
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) {
+	return clockBase.Add(time.Duration(c.at.Load())), true
+}
+func (c *deadlineCtx) Done() <-chan struct{} { return nil }
+func (c *deadlineCtx) Value(any) any         { return nil }
+func (c *deadlineCtx) Err() error {
+	if monoNow() < c.at.Load() {
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// reqPool recycles requests; outstanding counts those handed out and not
+// yet recycled (zero once every connection and worker has let go).
+type reqPool struct {
+	pool        sync.Pool
+	outstanding atomic.Int64
+}
+
+func (p *reqPool) get() *request {
+	r, _ := p.pool.Get().(*request)
+	if r == nil {
+		r = &request{reply: make(chan reply, 1), pool: p}
+		r.runFn = r.run
+		r.timer = time.AfterFunc(time.Hour, r.onExpiry)
+		r.timer.Stop()
+	}
+	p.outstanding.Add(1)
+	r.refs.Store(1)
+	return r
+}
+
+// release drops one ownership reference; the last owner recycles the
+// request into its next generation.
+func (r *request) release() {
+	if r.refs.Add(-1) != 0 {
+		return
+	}
+	if r.tr != nil {
+		r.tr.tr.pool.Put(r.tr)
+		r.tr = nil
+	}
+	r.deadline.at.Store(0)
+	r.state.Store((r.state.Load() | stateReplied) + 1)
+	r.pool.outstanding.Add(-1)
+	r.pool.pool.Put(r)
+}
+
+// finish delivers rep as the request's single reply. It returns false
 // when someone (the deadline timer, a shedding path) already replied.
-func (r *request) finish(resp string) bool {
-	if !r.replied.CompareAndSwap(false, true) {
+func (r *request) finish(rep reply) bool {
+	s := r.state.Load()
+	if s&stateReplied != 0 || !r.state.CompareAndSwap(s, s|stateReplied) {
 		return false
 	}
-	if t := r.timer.Load(); t != nil {
-		t.Stop()
+	if r.deadline.at.Load() != 0 {
+		r.timer.Stop()
 	}
-	r.reply <- resp
+	r.reply <- rep
 	return true
 }
 
-// armDeadline installs the deadline watchdog after the request was
-// admitted to a queue. The shed path never pays for a timer this way; the
-// replied re-check closes the race where a worker finished the request
-// between enqueue and arming.
-func (r *request) armDeadline(d time.Duration, onExpiry func()) {
-	t := time.AfterFunc(d, onExpiry)
-	r.timer.Store(t)
-	if r.replied.Load() {
-		t.Stop()
+func (r *request) replied() bool { return r.state.Load()&stateReplied != 0 }
+
+// onExpiry is the timer's function: if no worker finished the request in
+// time (wedged shard, long queue) it answers with a typed timeout, feeds
+// the breaker a failure and leaves a dead letter. A Stop that lost the race
+// with the runtime lets a fire outlive its life, so every read before the
+// CAS is atomic and the CAS only succeeds on an unanswered request whose
+// own deadline has passed — for a recycled request that is a genuine
+// timeout of the new life, never an early one.
+func (r *request) onExpiry() {
+	s := r.state.Load()
+	d := r.deadline.at.Load()
+	if s&stateReplied != 0 || d == 0 || monoNow() < d || !r.state.CompareAndSwap(s, s|stateReplied) {
+		return
 	}
+	// Winning the CAS pins this life: the connection side holds its
+	// reference until the reply below arrives.
+	r.sh.timedOut(r)
+	r.reply <- errReply(ErrCodeTimeout)
 }
 
-// parseRequest parses one protocol line. On failure it returns a non-empty
-// error code.
-func parseRequest(line string) (*request, string) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return nil, ErrCodeBadRequest
-	}
-	req := &request{reply: make(chan string, 1)}
-	if strings.HasPrefix(fields[0], "t=") {
-		hint := fields[0][2:]
-		fields = fields[1:]
-		if len(fields) == 0 {
-			return nil, ErrCodeBadRequest
+// run is the transaction body. A write records its key's post-state in
+// the key's slot of vals (last attempt wins) so the committed image can be
+// logged. The multi-key increment runs its per-key updates as parallel
+// nested transactions: this is the request shape that gives the shard's
+// tuner a real intra-transaction parallelism (c) knob to tune, not just
+// top-level concurrency (t).
+func (r *request) run(tx *stm.Tx) error {
+	switch r.kind {
+	case opGet:
+		r.vals[0] = r.boxes[0].Get(tx)
+	case opPut:
+		r.vals[0] = r.args[0]
+		r.boxes[0].Set(tx, r.args[0])
+	case opAdd:
+		r.addSlot(tx, 0)
+	case opMAdd:
+		for i := len(r.slotFns); i < len(r.boxes); i++ {
+			r.slotFns = append(r.slotFns, func(child *stm.Tx) error { r.addSlot(child, i); return nil })
 		}
-		idPart, nsPart, hasNS := strings.Cut(hint, "@")
-		id, err := strconv.ParseUint(idPart, 16, 64)
+		return tx.Parallel(r.slotFns[:len(r.boxes)]...)
+	}
+	return nil
+}
+
+func (r *request) addSlot(tx *stm.Tx, i int) {
+	r.vals[i] = r.boxes[i].Get(tx) + r.args[i]
+	r.boxes[i].Set(tx, r.vals[i])
+}
+
+// asciiSpace is unicode.IsSpace below utf8.RuneSelf.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField splits the first whitespace-delimited field off b
+// (strings.Fields' notion of whitespace).
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && asciiSpace[b[i]] {
+		i++
+	}
+	j := i
+	for ; j < len(b) && !asciiSpace[b[j]]; j++ {
+		if b[j] >= utf8.RuneSelf { // rare: let the bytes package decode the runes
+			b = bytes.TrimLeftFunc(b[i:], unicode.IsSpace)
+			if j = bytes.IndexFunc(b, unicode.IsSpace); j < 0 {
+				j = len(b)
+			}
+			return b[:j], b[j:]
+		}
+	}
+	return b[i:j], b[j:]
+}
+
+// parseUint is strconv.ParseUint(b, 10, 64) without the string.
+func parseUint[T string | []byte](b T) (uint64, bool) {
+	var n uint64
+	for i := 0; i < len(b); i++ {
+		d := uint64(b[i] - '0')
+		if d > 9 || n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, len(b) > 0
+}
+
+// parseVerb maps a verb field to its opKind, case-insensitively.
+func parseVerb(f []byte) (opKind, bool) {
+	for k, name := range opNames {
+		if bytes.EqualFold(f, []byte(name)) {
+			return opKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// ownKey copies k into the request's key buffer, which the caller sized so
+// that the append cannot move it, and returns the copy.
+func (r *request) ownKey(k []byte) []byte {
+	n := len(r.buf)
+	r.buf = append(r.buf, k...)
+	return r.buf[n:len(r.buf):len(r.buf)]
+}
+
+// parseRequest parses one protocol line into r, scanning the reader's
+// buffer in place and copying only the keys. On failure it returns a
+// non-empty error code and r is unspecified.
+func parseRequest(line []byte, r *request) string {
+	r.clientTraceID, r.clientSend = 0, time.Time{}
+	verb, rest := nextField(line)
+	if bytes.HasPrefix(verb, []byte("t=")) {
+		idPart, nsPart, hasNS := bytes.Cut(verb[2:], []byte("@"))
+		id, err := strconv.ParseUint(string(idPart), 16, 64)
 		if err != nil || id == 0 {
-			return nil, ErrCodeBadRequest
+			return ErrCodeBadRequest
 		}
-		req.clientTraceID = id
+		r.clientTraceID = id
 		if hasNS {
-			ns, err := strconv.ParseInt(nsPart, 10, 64)
+			ns, err := strconv.ParseInt(string(nsPart), 10, 64)
 			if err != nil {
-				return nil, ErrCodeBadRequest
+				return ErrCodeBadRequest
 			}
-			req.clientSend = time.Unix(0, ns)
+			r.clientSend = time.Unix(0, ns)
 		}
+		verb, rest = nextField(rest)
 	}
-	switch strings.ToUpper(fields[0]) {
-	case "PING":
-		req.kind = opPing
-	case "GET":
-		if len(fields) != 2 {
-			return nil, ErrCodeBadRequest
-		}
-		req.kind, req.key = opGet, fields[1]
-	case "PUT", "ADD":
-		if len(fields) != 3 {
-			return nil, ErrCodeBadRequest
-		}
-		n, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return nil, ErrCodeBadRequest
-		}
-		req.kind, req.key, req.arg = opPut, fields[1], n
-		if strings.ToUpper(fields[0]) == "ADD" {
-			req.kind = opAdd
-		}
-	case "MADD":
-		pairs := fields[1:]
-		if len(pairs) == 0 || len(pairs)%2 != 0 {
-			return nil, ErrCodeBadRequest
-		}
-		req.kind = opMAdd
-		for i := 0; i < len(pairs); i += 2 {
-			d, err := strconv.ParseUint(pairs[i+1], 10, 64)
-			if err != nil {
-				return nil, ErrCodeBadRequest
-			}
-			req.keys = append(req.keys, pairs[i])
-			req.args = append(req.args, d)
-		}
-		req.key = req.keys[0]
-	default:
-		return nil, ErrCodeBadRequest
+	kind, ok := parseVerb(verb)
+	if !ok {
+		return ErrCodeBadRequest
 	}
-	return req, ""
+	r.kind, r.buf, r.keys, r.args = kind, r.buf[:0], r.keys[:0], r.args[:0]
+	if kind == opPing {
+		return "" // trailing fields are ignored
+	}
+	if cap(r.buf) < len(rest) {
+		r.buf = make([]byte, 0, len(rest))
+	}
+	for f, rest := nextField(rest); len(f) > 0; f, rest = nextField(rest) {
+		if len(r.keys) == len(r.args) {
+			r.keys = append(r.keys, r.ownKey(f))
+			continue
+		}
+		n, ok := parseUint(f)
+		if !ok {
+			return ErrCodeBadRequest
+		}
+		r.args = append(r.args, n)
+	}
+	// Arity: the fields after the verb alternate key, number.
+	switch nk, na := len(r.keys), len(r.args); kind {
+	case opGet:
+		ok = nk == 1 && na == 0
+	case opPut, opAdd:
+		ok = nk == 1 && na == 1
+	case opMAdd:
+		ok = nk >= 1 && na == nk
+	}
+	if !ok {
+		return ErrCodeBadRequest
+	}
+	return ""
 }
 
-// Response constructors.
-func respValue(n uint64) string  { return "VALUE " + strconv.FormatUint(n, 10) }
-func respErr(code string) string { return "ERR " + code }
+// reply is a request's response as a small value, so producing one never
+// allocates; the connection writer encodes it with appendTo.
+type reply struct {
+	word string // "OK", "PONG", "VALUE" or "ERR"
+	val  uint64 // follows VALUE
+	code string // follows ERR: one of the ErrCode constants
+}
 
-const (
-	respOK   = "OK"
-	respPong = "PONG"
-)
+var replyOK, replyPong = reply{word: "OK"}, reply{word: "PONG"}
+
+func valueReply(n uint64) reply  { return reply{word: "VALUE", val: n} }
+func errReply(code string) reply { return reply{word: "ERR", code: code} }
+
+// appendTo appends the reply's wire line to b.
+func (r reply) appendTo(b []byte) []byte {
+	b = append(b, r.word...)
+	switch r.word {
+	case "VALUE":
+		b = strconv.AppendUint(append(b, ' '), r.val, 10)
+	case "ERR":
+		b = append(append(b, ' '), r.code...)
+	}
+	return append(b, '\n')
+}
+
+// outcome is the reply as a trace outcome: "ok" or the ERR code.
+func (r reply) outcome() string {
+	if r.word == "ERR" {
+		return r.code
+	}
+	return "ok"
+}

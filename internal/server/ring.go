@@ -9,7 +9,6 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -54,7 +53,7 @@ func NewRing(shards, vnodes int) *Ring {
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:  hashString(fmt.Sprintf("shard-%d-vnode-%d", s, v)),
+				hash:  hashKey(fmt.Sprintf("shard-%d-vnode-%d", s, v)),
 				shard: s,
 			})
 		}
@@ -70,27 +69,39 @@ func (r *Ring) Shards() int { return r.shards }
 func (r *Ring) VNodes() int { return r.vnodes }
 
 // Lookup returns the shard owning key.
-func (r *Ring) Lookup(key string) int {
-	h := hashString(key)
-	// First point with hash >= h, wrapping to points[0] past the top.
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+func (r *Ring) Lookup(key string) int { return r.owner(hashKey(key)) }
+
+// owner returns the shard owning hash h: the first point with hash >= h,
+// wrapping to points[0] past the top.
+func (r *Ring) owner(h uint64) int {
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.points[i].shard
+	if lo == len(r.points) {
+		lo = 0
+	}
+	return r.points[lo].shard
 }
 
-// hashString is FNV-1a 64 followed by a 64-bit finalizer mix. It is stable
+// hashKey is FNV-1a 64 followed by a 64-bit finalizer mix. It is stable
 // across processes (unlike maphash), which is what lets the load generator
 // reconstruct the server's routing. The finalizer matters: raw FNV-1a
 // diffuses a trailing-byte change by only ~2^47 on the 2^64 circle (one
 // xor plus one multiply by the ~2^40 prime), so sequential key names like
 // k000041/k000042 land in contiguous clumps between ring points and skew
 // shard ownership badly; the avalanche mix spreads them uniformly.
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
+// It takes the key as a string (the exported Lookup) or as the request
+// path's byte slice, and allocates for neither.
+func hashKey[T string | []byte](s T) uint64 {
+	x := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(s); i++ {
+		x = (x ^ uint64(s[i])) * 1099511628211 // FNV-1a 64 prime
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

@@ -108,3 +108,49 @@ func TestRingVNodeAccessors(t *testing.T) {
 		t.Errorf("KeyName(42) = %q, want %q", got, want)
 	}
 }
+
+// TestHashKeyGolden pins hashKey (and with it the ring's routing) to the
+// values the hash/fnv-based implementation produced on PR 12, for strings
+// and byte slices alike: the load generator rebuilds the ring client-side,
+// so a drifting hash would silently turn its colocated MADDs cross-shard.
+func TestHashKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0xefd01f60ba992926},
+		{"a", 0x82a2a958a9bece5b},
+		{"k000000", 0x117103a2826fee0e},
+		{"k000001", 0x7c367cd793a97bfc},
+		{"k016383", 0xfbcbce979cec6214},
+		{"k999999", 0xb2a621b29fae7662},
+		{"shard-0-vnode-0", 0x1c5ddac34d0ce41d},
+		{"shard-3-vnode-63", 0x51b565f82a94d0c0},
+		{"nosuchkey", 0x9c72e0dedb4aa5d1},
+		{"héllo wörld", 0xc9908fbae14ae724},
+		{"\x00\xff", 0xacb64f88d28b68b8},
+	} {
+		if got := hashKey(c.key); got != c.want {
+			t.Errorf("hashKey(%q) = %#x, want %#x", c.key, got, c.want)
+		}
+		if got := hashKey([]byte(c.key)); got != c.want {
+			t.Errorf("hashKey([]byte(%q)) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+	r := NewRing(4, 64)
+	for i, want := range map[int]int{0: 3, 1: 1, 2: 1, 3: 0, 100: 0, 16383: 0} {
+		if got := r.Lookup(KeyName(i)); got != want {
+			t.Errorf("NewRing(4, 64).Lookup(%s) = %d, want %d", KeyName(i), got, want)
+		}
+	}
+}
+
+func TestRingLookupAllocs(t *testing.T) {
+	r := NewRing(4, 64)
+	key := KeyName(4242)
+	if n := testing.AllocsPerRun(1000, func() { sinkInt = r.Lookup(key) }); n != 0 {
+		t.Errorf("Ring.Lookup allocates %v times per call, want 0", n)
+	}
+}
+
+var sinkInt int

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +192,7 @@ type Server struct {
 	tracer   *reqTracer                 // request tracer (always built; rate decides cost)
 	stageAgg *[numStages]*obs.Histogram // server-wide stage latency histograms
 	connSeq  atomic.Int64               // connection IDs for trace records
+	reqs     reqPool                    // pooled requests (proto.go)
 }
 
 // New builds the server: shards, stores, breakers, tuners and logs. It
@@ -568,20 +569,25 @@ func (s *Server) trackConn(c net.Conn, add bool) {
 // pipelining deeper than this is back-pressured at its socket.
 const maxPipelined = 1024
 
+// maxLine bounds a request line, newline included; a longer one is answered
+// ERR bad-request and the connection closed.
+const maxLine = 64 << 10
+
 // tracedReply is a written-but-not-yet-flushed reply of a traced request;
 // the connection writer batches these and stamps all of them with one
 // flush timestamp when the buffered writer actually hits the socket.
 type tracedReply struct {
-	rt   *reqTrace
-	resp string
+	req     *request
+	outcome string
 }
 
 // serveConn handles one client connection: the reader parses and routes
 // lines as fast as they arrive (this is what lets an open-loop client
 // actually reach the shard queues instead of queueing in the kernel), the
-// writer replies strictly in request order. The writer is also where
-// sampled requests complete: their reply-flushed mark is the moment the
-// batch containing their response reached the socket.
+// writer replies strictly in request order and then drops the connection
+// side's reference on the request. The writer is also where sampled
+// requests complete: their reply-flushed mark is the moment the batch
+// containing their response reached the socket.
 func (s *Server) serveConn(c net.Conn) {
 	defer func() { _ = c.Close() }()
 	connID := s.connSeq.Add(1)
@@ -591,96 +597,93 @@ func (s *Server) serveConn(c net.Conn) {
 	go func() {
 		defer close(done)
 		w := bufio.NewWriter(c)
+		line := make([]byte, 0, 64) // reply encoding scratch
 		var traced []tracedReply
-		// drain keeps consuming replies so no request's finish() blocks
-		// after the client is gone; traces complete with no flush mark.
-		drain := func() {
+		// complete publishes the batched traces with one flush mark (0: the
+		// replies never reached the socket).
+		complete := func(flushNS int64) {
 			for _, t := range traced {
-				s.completeTrace(t.rt, t.resp, 0)
+				s.completeTrace(t.req.tr, t.outcome, flushNS)
+				t.req.release()
 			}
 			traced = traced[:0]
-			for req := range pending {
-				resp := <-req.reply
-				if req.tr != nil {
-					s.completeTrace(req.tr, resp, 0)
-				}
-			}
 		}
+		var err error
 		for req := range pending {
-			resp := <-req.reply
-			if _, err := w.WriteString(resp + "\n"); err != nil {
-				if req.tr != nil {
-					s.completeTrace(req.tr, resp, 0)
-				}
-				drain()
-				return
+			rep := <-req.reply
+			if err == nil {
+				line = rep.appendTo(line[:0])
+				_, err = w.Write(line)
 			}
 			if req.tr != nil {
-				traced = append(traced, tracedReply{req.tr, resp})
+				traced = append(traced, tracedReply{req, rep.outcome()})
+			} else {
+				req.release()
 			}
-			// Flush when no more replies are immediately pending, so
-			// pipelined bursts batch into few syscalls.
-			if len(pending) == 0 {
-				if err := w.Flush(); err != nil {
-					drain()
-					return
-				}
-				if len(traced) > 0 {
-					flushNS := s.tracer.now()
-					for _, t := range traced {
-						s.completeTrace(t.rt, t.resp, flushNS)
-					}
-					traced = traced[:0]
+			// Flush when no more replies are immediately pending (always
+			// true of the last one), so pipelined bursts batch into few
+			// syscalls. Once the client is gone the loop only keeps consuming
+			// replies, so no request's finish() blocks; traces then complete
+			// with no flush mark.
+			if err == nil && len(pending) == 0 {
+				if err = w.Flush(); err == nil && len(traced) > 0 {
+					complete(s.tracer.now())
 				}
 			}
-		}
-		err := w.Flush()
-		flushNS := int64(0)
-		if err == nil {
-			flushNS = s.tracer.now()
-		}
-		for _, t := range traced {
-			s.completeTrace(t.rt, t.resp, flushNS)
+			if err != nil {
+				complete(0)
+			}
 		}
 	}()
 
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<10)
-	for sc.Scan() {
-		req, code := parseRequest(sc.Text())
+	br := bufio.NewReaderSize(c, maxLine)
+	var rerr error
+	for rerr == nil {
+		var line []byte
+		if line, rerr = br.ReadSlice('\n'); len(line) == 0 {
+			break // EOF or a dead socket, and no unterminated last line
+		}
+		req := s.reqs.get()
+		code := ErrCodeBadRequest // an over-long line: answered, then the loop ends
+		if rerr != bufio.ErrBufferFull {
+			code = parseRequest(line, req)
+		}
 		if code != "" {
-			req = &request{reply: make(chan string, 1)}
-			req.finish(respErr(code))
-			pending <- req
-			continue
+			req.finish(errReply(code))
+		} else {
+			if rt := s.tracer.maybeStart(req.clientTraceID, req.clientSend, connID); rt != nil {
+				rt.op, req.tr = req.kind.String(), rt
+				if len(req.keys) > 0 {
+					rt.key = string(req.keys[0])
+				}
+			}
+			s.route(req)
 		}
-		if rt := s.tracer.maybeStart(req.clientTraceID, req.clientSend, connID); rt != nil {
-			rt.op = req.kind.String()
-			rt.key = req.key
-			req.tr = rt
-		}
-		s.route(req)
 		pending <- req
 	}
 	close(pending)
 	<-done
+	if rerr == bufio.ErrBufferFull {
+		// The rest of the over-long line is still arriving; closing on
+		// unread input resets the connection and can destroy the reply just
+		// written. Half-close and discard briefly instead.
+		if tc, ok := c.(*net.TCPConn); ok {
+			_ = tc.CloseWrite()
+		}
+		_ = c.SetReadDeadline(time.Now().Add(time.Second))
+		_, _ = io.Copy(io.Discard, io.LimitReader(c, 16*maxLine))
+	}
 }
 
-// completeTrace finishes a sampled request: derives its outcome from the
-// reply line, feeds the ok-path stage histograms (aggregate and owning
-// shard), publishes the snapshot to the trace ring and drops the writer's
-// ownership reference. flushNS 0 means the reply never reached the socket.
-func (s *Server) completeTrace(rt *reqTrace, resp string, flushNS int64) {
-	outcome := "ok"
-	if strings.HasPrefix(resp, "ERR ") {
-		outcome = resp[len("ERR "):]
-	}
+// completeTrace finishes a sampled request: feeds the ok-path stage
+// histograms (aggregate and owning shard) and publishes the snapshot to
+// the trace ring. flushNS 0 means the reply never reached the socket.
+func (s *Server) completeTrace(rt *reqTrace, outcome string, flushNS int64) {
 	d := rt.snapshot(outcome, flushNS)
 	if outcome == "ok" && d.Shard >= 0 {
 		observeStages(d, s.stageAgg, s.shards[d.Shard].stages)
 	}
 	s.tracer.publish(d)
-	rt.release()
 }
 
 // SetTraceSampleRate adjusts the request-tracing sample rate at runtime
@@ -694,16 +697,14 @@ func (s *Server) Traces() []ReqTraceData { return s.tracer.traces() }
 // route hands the request to the shard owning its key(s).
 func (s *Server) route(req *request) {
 	if req.kind == opPing {
-		req.finish(respPong)
+		req.finish(replyPong)
 		return
 	}
-	id := s.ring.Lookup(req.key)
-	if req.kind == opMAdd {
-		for _, k := range req.keys[1:] {
-			if s.ring.Lookup(k) != id {
-				req.finish(respErr(ErrCodeCrossShard))
-				return
-			}
+	id := s.ring.owner(hashKey(req.keys[0]))
+	for _, k := range req.keys[1:] { // MADD
+		if s.ring.owner(hashKey(k)) != id {
+			req.finish(errReply(ErrCodeCrossShard))
+			return
 		}
 	}
 	s.shards[id].submit(req)
@@ -874,6 +875,12 @@ func (s *Server) doShutdown(timeout time.Duration) ShutdownReport {
 	}()
 	select {
 	case <-connsDone:
+		// No reader is left to submit. A request that slipped into a queue
+		// behind the drain above, with the workers already gone, gets its
+		// reply here and gives up the exec side's reference.
+		for _, sh := range s.shards {
+			rep.ShedAtShutdown += sh.drainQueue()
+		}
 	case <-time.After(time.Until(deadline) + s.opts.RequestTimeout):
 		// Writers blocked on abandoned replies unblock once the deadline
 		// timers fire (at most RequestTimeout after admission); past that

@@ -14,7 +14,6 @@ import (
 	"autopn/internal/sched"
 	"autopn/internal/stm"
 	stmtrace "autopn/internal/stm/trace"
-	"autopn/internal/wal"
 )
 
 // shard is one independent slice of the store: its own STM universe, its
@@ -73,6 +72,7 @@ type shard struct {
 // reply is always produced — immediately on rejection, by a worker or the
 // deadline timer otherwise.
 func (sh *shard) submit(req *request) {
+	req.sh = sh
 	if sh.draining.Load() {
 		sh.reject(req, ErrCodeShutdown)
 		return
@@ -82,55 +82,65 @@ func (sh *shard) submit(req *request) {
 		sh.reject(req, ErrCodeBreakerOpen)
 		return
 	}
-	req.enq = time.Now()
+	// Take the exec side's ownership reference before the request can
+	// reach a worker, and stamp the enqueue mark first so a worker's
+	// dequeue mark can never precede it.
+	req.refs.Add(1)
+	req.enq = monoNow()
+	req.deadline.at.Store(req.enq + int64(sh.timeout))
 	if rt := req.tr; rt != nil {
-		// Take the exec side's ownership reference before the request can
-		// reach a worker, and stamp the enqueue mark first so a worker's
-		// dequeue mark can never precede it.
-		rt.refs.Add(1)
 		rt.shard = int32(sh.id)
 		rt.enq.Store(rt.tr.now())
 	}
 	select {
 	case sh.queue <- req:
 		sh.accepted.Add(1)
-		// The deadline watchdog: if no worker finishes the request in
-		// time (wedged shard, long queue), the timer answers with a typed
-		// timeout, feeds the breaker a failure, and leaves a dead letter.
-		// finish()'s CAS guarantees the worker and the timer never both
-		// reply. Armed only after admission so the shed path below stays
-		// free of timer churn at full overload rate.
-		req.armDeadline(sh.timeout, func() {
-			if req.finish(respErr(ErrCodeTimeout)) {
-				sh.timeouts.Add(1)
-				sh.breaker.ReportFailure()
-				sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: req.key, Reason: ErrCodeTimeout})
-			}
-		})
+		// The deadline watchdog (request.onExpiry): finish()'s CAS
+		// guarantees the worker and the timer never both reply. Armed only
+		// after admission so the shed path below stays free of timer churn
+		// at full overload rate; the replied re-check closes the race where
+		// a worker finished the request between enqueue and arming.
+		req.timer.Reset(sh.timeout)
+		if req.replied() {
+			req.timer.Stop()
+		}
 	default:
 		// Load shedding: the queue is full, so the request is refused
 		// *now* with the typed overload reply rather than queued into a
 		// latency cliff. The breaker sees the shed as a success-neutral
 		// event (it was never admitted to execution), but the dead-letter
 		// log records it.
-		if req.finish(respErr(ErrCodeOverload)) {
+		req.deadline.at.Store(0) // never admitted: finish has no timer to stop
+		if req.finish(errReply(ErrCodeOverload)) {
 			sh.shed.Add(1)
-			sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: req.key, Reason: ErrCodeOverload})
+			sh.deadLetter(req, ErrCodeOverload)
 		}
 		// The breaker admitted the request but it never executed; undo the
 		// probe accounting so a shed cannot wedge the breaker half-open.
 		sh.breaker.Forget()
-		if rt := req.tr; rt != nil {
-			rt.release() // no worker will see this request
-		}
+		req.refs.Add(-1) // no worker will see this request
 	}
 }
 
 // reject replies immediately with the given code and records a dead letter.
 func (sh *shard) reject(req *request, code string) {
-	if req.finish(respErr(code)) {
-		sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: req.key, Reason: code})
+	if req.finish(errReply(code)) {
+		sh.deadLetter(req, code)
 	}
+}
+
+// deadLetter records req in the dead-letter log, if there is one.
+func (sh *shard) deadLetter(req *request, reason string) {
+	if sh.dlq != nil {
+		sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: string(req.keys[0]), Reason: reason})
+	}
+}
+
+// timedOut accounts one request answered with ErrCodeTimeout.
+func (sh *shard) timedOut(req *request) {
+	sh.timeouts.Add(1)
+	sh.breaker.ReportFailure()
+	sh.deadLetter(req, ErrCodeTimeout)
 }
 
 // runWorkers launches n executor goroutines.
@@ -155,30 +165,26 @@ func (sh *shard) runWorkers(n int) {
 func (sh *shard) execute(req *request) {
 	sh.executing.Add(1)
 	defer sh.executing.Add(-1)
-	rt := req.tr
-	if rt != nil {
-		defer rt.release() // exec side done with the record
-	}
-	if req.replied.Load() {
+	defer req.release() // exec side done with the request
+	if req.replied() {
 		// Expired in the queue; the deadline timer already answered and
 		// accounted for it.
 		return
 	}
+	rt := req.tr
 	if rt != nil {
 		rt.deq.Store(rt.tr.now())
 	}
-	ctx, cancel := context.WithDeadline(context.Background(), req.enq.Add(sh.timeout))
-	resp, err := sh.exec(ctx, req)
-	cancel()
+	rep, err := sh.exec(req)
 	if rt != nil {
 		rt.execDone.Store(rt.tr.now())
 	}
 	switch {
 	case err == nil:
-		if req.finish(resp) {
+		if req.finish(rep) {
 			sh.served.Add(1)
 			sh.breaker.ReportSuccess()
-			ms := float64(time.Since(req.enq)) / float64(time.Millisecond)
+			ms := float64(monoNow()-req.enq) / float64(time.Millisecond)
 			sh.latency.Observe(ms)
 			sh.global.Observe(ms)
 		} else {
@@ -187,11 +193,9 @@ func (sh *shard) execute(req *request) {
 			// failure.
 			sh.lateOK.Add(1)
 		}
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		if req.finish(respErr(ErrCodeTimeout)) {
-			sh.timeouts.Add(1)
-			sh.breaker.ReportFailure()
-			sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: req.key, Reason: ErrCodeTimeout})
+	case errors.Is(err, context.DeadlineExceeded):
+		if req.finish(errReply(ErrCodeTimeout)) {
+			sh.timedOut(req)
 		}
 	case errors.Is(err, errWAL):
 		// The transaction committed but could not be made durable: the
@@ -199,16 +203,16 @@ func (sh *shard) execute(req *request) {
 		// client gets the typed WAL error and the breaker sees a failure.
 		// WAL errors are sticky, so the breaker opens within a window and
 		// the shard stops accepting updates it cannot honor.
-		if req.finish(respErr(ErrCodeWAL)) {
+		if req.finish(errReply(ErrCodeWAL)) {
 			sh.userErrors.Add(1)
 			sh.breaker.ReportFailure()
-			sh.dlq.Record(DeadLetter{Shard: sh.id, Op: req.kind.String(), Key: req.key, Reason: ErrCodeWAL})
+			sh.deadLetter(req, ErrCodeWAL)
 		}
 	default:
 		// Protocol-level errors (unknown key, cross-shard) are the
 		// client's fault, not the shard's health: reply without feeding
 		// the breaker a failure.
-		if req.finish(respErr(err.Error())) {
+		if req.finish(errReply(err.Error())) {
 			sh.userErrors.Add(1)
 			sh.breaker.ReportSuccess()
 		}
@@ -220,31 +224,32 @@ type errCode string
 
 func (e errCode) Error() string { return string(e) }
 
-// atomicUpdate runs fn as an update transaction and returns the STM
-// commit version that published it (the WAL path's last-writer-wins
-// ordering key). Traced requests force the tree into the shard's STM
-// tracer linked by trace ID, and stamp the fn-done mark at the end of
-// every attempt (the last attempt's stamp survives), which is what
-// separates the exec stage — transaction body, retries included — from
-// the commit stage.
+// atomicUpdate runs fn as an update transaction under the request's
+// deadline context and returns the STM commit version that published it
+// (the WAL path's last-writer-wins ordering key). Traced requests force
+// the tree into the shard's STM tracer linked by trace ID, and stamp the
+// fn-done mark at the end of every attempt (the last attempt's stamp
+// survives), which is what separates the exec stage — transaction body,
+// retries included — from the commit stage.
 // The hint parameter declares the request's scheduling intent — the
 // conflict key of the box it is about to write — so an attempt on a
 // promoted hot domain is steered onto its lane from attempt zero rather
-// than after a first wasted abort. Zero means no declared intent; with the
-// scheduler off the hint is simply ignored.
-func (sh *shard) atomicUpdate(ctx context.Context, req *request, hint uintptr, fn func(tx *stm.Tx) error) (uint64, error) {
+// than after a first wasted abort. With the scheduler off the hint is
+// simply ignored.
+func (sh *shard) atomicUpdate(req *request, hint uintptr, fn func(tx *stm.Tx) error) (uint64, error) {
 	rt := req.tr
 	if rt == nil {
-		return sh.stm.AtomicVersionedCtxHint(ctx, hint, fn)
+		return sh.stm.AtomicVersionedCtxHint(&req.deadline, hint, fn)
 	}
-	return sh.stm.AtomicVersionedTracedHint(ctx, rt.id, hint, func(tx *stm.Tx) error {
+	return sh.stm.AtomicVersionedTracedHint(&req.deadline, rt.id, hint, func(tx *stm.Tx) error {
 		err := fn(tx)
 		rt.fnDone.Store(rt.tr.now())
 		return err
 	})
 }
 
-// atomicRead is atomicUpdate's read-only counterpart.
+// atomicRead is atomicUpdate's read-only counterpart; reads run exactly
+// once and need no context.
 func (sh *shard) atomicRead(req *request, fn func(tx *stm.Tx) error) error {
 	rt := req.tr
 	if rt == nil {
@@ -257,102 +262,36 @@ func (sh *shard) atomicRead(req *request, fn func(tx *stm.Tx) error) error {
 	})
 }
 
-// exec performs the transactional work of one request.
-func (sh *shard) exec(ctx context.Context, req *request) (string, error) {
-	switch req.kind {
-	case opPing:
-		return respPong, nil
-	case opGet:
-		box, ok := sh.store[req.key]
+// exec performs the transactional work of one request: resolve the keys,
+// run the request's own pre-bound transaction body (request.run), log the
+// committed image. An MADD's first key is its declared scheduling intent: a
+// multi-key update cannot declare them all, and the learned-key upgrade in
+// the STM's retry loop covers whichever box actually aborts it.
+func (sh *shard) exec(req *request) (reply, error) {
+	req.boxes = req.boxes[:0]
+	for _, k := range req.keys {
+		box, ok := sh.store[string(k)]
 		if !ok {
-			return "", errCode(ErrCodeUnknownKey)
+			return reply{}, errCode(ErrCodeUnknownKey)
 		}
-		var v uint64
-		err := sh.atomicRead(req, func(tx *stm.Tx) error {
-			v = box.Get(tx)
-			return nil
-		})
-		if err != nil {
-			return "", err
-		}
-		return respValue(v), nil
-	case opPut:
-		box, ok := sh.store[req.key]
-		if !ok {
-			return "", errCode(ErrCodeUnknownKey)
-		}
-		ver, err := sh.atomicUpdate(ctx, req, box.ConflictKey(), func(tx *stm.Tx) error {
-			box.Set(tx, req.arg)
-			return nil
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := sh.logUpdate(wal.OpPut, req.key, req.arg, ver); err != nil {
-			return "", err
-		}
-		return respOK, nil
-	case opAdd:
-		box, ok := sh.store[req.key]
-		if !ok {
-			return "", errCode(ErrCodeUnknownKey)
-		}
-		var v uint64
-		ver, err := sh.atomicUpdate(ctx, req, box.ConflictKey(), func(tx *stm.Tx) error {
-			v = box.Get(tx) + req.arg
-			box.Set(tx, v)
-			return nil
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := sh.logUpdate(wal.OpAdd, req.key, v, ver); err != nil {
-			return "", err
-		}
-		return respValue(v), nil
-	case opMAdd:
-		boxes := make([]*stm.VBox[uint64], len(req.keys))
-		for i, k := range req.keys {
-			box, ok := sh.store[k]
-			if !ok {
-				return "", errCode(ErrCodeUnknownKey)
-			}
-			boxes[i] = box
-		}
-		// The multi-key increment runs its per-key updates as parallel
-		// nested transactions: this is the request shape that gives the
-		// shard's tuner a real intra-transaction parallelism (c) knob to
-		// tune, not just top-level concurrency (t). Each child records
-		// its key's post-state into its own slot (last attempt wins) so
-		// the committed image can be logged.
-		// The first key is the declared intent: a multi-key update cannot
-		// declare them all, and the learned-key upgrade in the STM's retry
-		// loop covers whichever box actually aborts it.
-		vals := make([]uint64, len(boxes))
-		ver, err := sh.atomicUpdate(ctx, req, boxes[0].ConflictKey(), func(tx *stm.Tx) error {
-			fns := make([]func(*stm.Tx) error, len(boxes))
-			for i := range boxes {
-				i := i
-				box, delta := boxes[i], req.args[i]
-				fns[i] = func(child *stm.Tx) error {
-					v := box.Get(child) + delta
-					box.Set(child, v)
-					vals[i] = v
-					return nil
-				}
-			}
-			return tx.Parallel(fns...)
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := sh.logMulti(req.keys, vals, ver); err != nil {
-			return "", err
-		}
-		return respOK, nil
-	default:
-		return "", errCode(ErrCodeBadRequest)
+		req.boxes = append(req.boxes, box)
 	}
+	if n := len(req.boxes); cap(req.vals) < n {
+		req.vals = make([]uint64, n)
+	}
+	req.vals = req.vals[:len(req.boxes)]
+	if req.kind == opGet {
+		err := sh.atomicRead(req, req.runFn)
+		return valueReply(req.vals[0]), err
+	}
+	ver, err := sh.atomicUpdate(req, req.boxes[0].ConflictKey(), req.runFn)
+	if err == nil {
+		err = sh.logUpdate(req, ver)
+	}
+	if req.kind == opAdd {
+		return valueReply(req.vals[0]), err
+	}
+	return replyOK, err
 }
 
 // drainQueue empties the admission queue during shutdown, replying with
@@ -364,9 +303,7 @@ func (sh *shard) drainQueue() int {
 		select {
 		case req := <-sh.queue:
 			sh.reject(req, ErrCodeShutdown)
-			if rt := req.tr; rt != nil {
-				rt.release() // no worker will see this request
-			}
+			req.release() // no worker will see this request
 			n++
 		default:
 			return n

@@ -24,10 +24,11 @@ import (
 //	commit = fn-done  -> exec-done  final validation + STM commit
 //	flush  = exec-done-> flushed    reply ordering + writer batching + syscall
 //
-// Span records are pooled (sync.Pool, refcounted between the worker and
-// the connection writer) and completed records land in a fixed-size ring,
-// exported as one merged Chrome trace_event timeline together with the
-// linked STM transaction-tree spans (see trace_export.go). The sampling
+// Span records are pooled (sync.Pool; a record shares the lifetime of the
+// pooled request that carries it) and completed records land in a
+// fixed-size ring, exported as one merged Chrome trace_event timeline
+// together with the linked STM transaction-tree spans (see
+// trace_export.go). The sampling
 // decision is a single atomic load plus a splitmix64 draw per request;
 // with tracing disabled (rate 0) it is exactly one atomic load and a
 // never-taken branch — the same discipline the STM tracer established.
@@ -107,8 +108,8 @@ type ReqTraceData struct {
 // to the connection writer (which publishes the record) while the worker
 // is still executing and marking stages; the writer's snapshot simply
 // misses marks that land after publication. The record returns to the pool
-// only when both owners — the writer (publishes at flush) and the
-// exec side (worker or shed path) — have released it.
+// with its request, once both of the request's owners — the writer
+// (publishes at flush) and the exec side — have released it.
 type reqTrace struct {
 	tr *reqTracer
 
@@ -123,15 +124,6 @@ type reqTrace struct {
 	acceptNS     int64
 
 	enq, deq, fnDone, execDone atomic.Int64
-	refs                       atomic.Int32
-}
-
-// release drops one ownership reference; the last owner recycles the
-// record.
-func (rt *reqTrace) release() {
-	if rt.refs.Add(-1) == 0 {
-		rt.tr.pool.Put(rt)
-	}
 }
 
 // snapshot renders the record for publication. flushNS may be zero (the
@@ -248,9 +240,6 @@ func (t *reqTracer) maybeStart(clientID uint64, clientSend time.Time, conn int64
 	if !clientSend.IsZero() {
 		rt.clientSendNS = int64(clientSend.Sub(t.epoch))
 	}
-	// One reference for the connection writer (publishes at flush); the
-	// exec side takes its own on admission.
-	rt.refs.Store(1)
 	return rt
 }
 

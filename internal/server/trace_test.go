@@ -27,7 +27,6 @@ func TestTraceSampleGate(t *testing.T) {
 	if rt.id == 0 {
 		t.Error("trace ID must be nonzero")
 	}
-	rt.release()
 
 	// A client hint forces sampling at any nonzero rate...
 	tr.setSampleRate(1e-9)
@@ -38,7 +37,6 @@ func TestTraceSampleGate(t *testing.T) {
 	if hinted.clientID != 0xabc {
 		t.Errorf("clientID = %#x, want 0xabc", hinted.clientID)
 	}
-	hinted.release()
 	// ...but not while tracing is off entirely.
 	tr.setSampleRate(0)
 	if rt := tr.maybeStart(0xabc, time.Time{}, 2); rt != nil {
@@ -52,7 +50,6 @@ func TestTraceSampleGate(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		if rt := tr.maybeStart(0, time.Time{}, 1); rt != nil {
 			got++
-			rt.release()
 		}
 	}
 	if frac := float64(got) / draws; frac < 0.2 || frac > 0.3 {
@@ -80,38 +77,6 @@ func TestTraceRingOverwrite(t *testing.T) {
 	st := tr.status()
 	if st.Completed != 10 || st.Dropped != 6 {
 		t.Errorf("status = %+v, want completed 10 dropped 6", st)
-	}
-}
-
-func TestParseRequestTraceHint(t *testing.T) {
-	req, code := parseRequest("t=2a@1000 PING")
-	if code != "" {
-		t.Fatalf("hinted PING rejected: %s", code)
-	}
-	if req.clientTraceID != 0x2a {
-		t.Errorf("clientTraceID = %#x, want 0x2a", req.clientTraceID)
-	}
-	if req.clientSend.UnixNano() != 1000 {
-		t.Errorf("clientSend = %v, want unix-nanos 1000", req.clientSend.UnixNano())
-	}
-
-	// Hint without timestamp is fine.
-	req, code = parseRequest("t=ff GET k000001")
-	if code != "" || req.clientTraceID != 0xff || !req.clientSend.IsZero() {
-		t.Errorf("t=ff GET: code=%q id=%#x send=%v", code, req.clientTraceID, req.clientSend)
-	}
-
-	for _, bad := range []string{
-		"t=",            // empty hint
-		"t=xyz PING",    // not hex
-		"t=0 PING",      // zero ID reserved
-		"t=2a@abc PING", // bad timestamp
-		"t=2a",          // hint with no request
-		"t=2a@1000",     // ditto with timestamp
-	} {
-		if _, code := parseRequest(bad); code != ErrCodeBadRequest {
-			t.Errorf("parseRequest(%q) code = %q, want bad-request", bad, code)
-		}
 	}
 }
 
@@ -295,8 +260,7 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceShedRequestPublishes: a request shed at a full queue still
-// completes its trace (outcome overload, no dequeue mark) without leaking
-// the pooled record.
+// completes its trace (outcome overload, no dequeue mark).
 func TestTraceShedRequestPublishes(t *testing.T) {
 	tr := newReqTracer(TraceOptions{SampleRate: 1, MaxTraces: 16})
 	rt := tr.maybeStart(0, time.Time{}, 1)
@@ -304,14 +268,10 @@ func TestTraceShedRequestPublishes(t *testing.T) {
 		t.Fatal("not sampled at rate 1")
 	}
 	rt.op, rt.key = "ADD", "k000001"
-	// Shed path: exec ref taken then released without any worker marks.
-	rt.refs.Add(1)
+	// Shed path: routed and stamped, then no worker marks.
 	rt.shard = 0
 	rt.enq.Store(tr.now())
-	rt.release()
-	d := rt.snapshot("overload", 0)
-	tr.publish(d)
-	rt.release()
+	tr.publish(rt.snapshot("overload", 0))
 
 	got := tr.traces()
 	if len(got) != 1 {
